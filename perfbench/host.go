@@ -7,6 +7,8 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"syscall"
+	"time"
 )
 
 // hostStamp identifies the machine a result was measured on, so that no
@@ -53,4 +55,52 @@ func llcSize() string {
 		return "unknown"
 	}
 	return size
+}
+
+// hostLoad samples what the host lent the run: the share of all CPUs'
+// time the hypervisor stole, and the process's CPU time per wall second.
+// On one P with no stolen time, cpu/wall stays near 1; a run whose timings
+// stand out should be read against these.
+type hostLoad struct {
+	wall time.Time
+	stat []int64 // the aggregate cpu line of /proc/stat, in ticks
+	cpu  time.Duration
+}
+
+func sampleHostLoad() hostLoad {
+	h := hostLoad{wall: time.Now(), cpu: processCPU()}
+	if b, err := os.ReadFile("/proc/stat"); err == nil {
+		line, _, _ := strings.Cut(string(b), "\n")
+		for _, f := range strings.Fields(line)[1:] {
+			n, _ := strconv.ParseInt(f, 10, 64)
+			h.stat = append(h.stat, n)
+		}
+	}
+	return h
+}
+
+// since describes the load between h and now.
+func (h hostLoad) since() string {
+	now := sampleHostLoad()
+	steal := "unknown"
+	if len(h.stat) > 7 && len(now.stat) == len(h.stat) {
+		var total int64
+		for i := range h.stat {
+			total += now.stat[i] - h.stat[i]
+		}
+		if total > 0 {
+			steal = fmt.Sprintf("%.3f", float64(now.stat[7]-h.stat[7])/float64(total))
+		}
+	}
+	return fmt.Sprintf("host load: steal_frac=%s cpu_per_wall=%.3f",
+		steal, (now.cpu-h.cpu).Seconds()/now.wall.Sub(h.wall).Seconds())
+}
+
+// processCPU returns the user and system CPU time the process has used.
+func processCPU() time.Duration {
+	var ru syscall.Rusage
+	if syscall.Getrusage(syscall.RUSAGE_SELF, &ru) != nil {
+		return 0
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }

@@ -32,8 +32,14 @@ import (
 const workDir = ".bench_build/work"
 
 // setupReps is how many extra set-ups each run times before measuring, so
-// setup_s is a median even when only one iteration fits in the run.
-const setupReps = 29
+// setup_s is a median even when only one iteration fits in the run. A set-up
+// takes tens of microseconds, so many cost little. The first setupWarmup
+// are not timed: they pay the process's first-touch costs, which a user's
+// later set-ups do not.
+const (
+	setupWarmup = 10
+	setupReps   = 199
+)
 
 type metric struct {
 	Value float64 `json:"value"`
@@ -81,6 +87,7 @@ func main() {
 	fmt.Printf("perfbench workload=%s seed=%d seconds=%d trace=%d\n", *name, *seed, *seconds, *trace)
 	fmt.Println(hostStamp())
 	d := time.Duration(*seconds) * time.Second
+	load := sampleHostLoad()
 	var res result
 	if *trace == 1 {
 		res, err = runTraced(w, work, d, os.Stdout)
@@ -92,6 +99,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "perfbench:", err)
 		os.Exit(1)
 	}
+	fmt.Println(load.since())
 	line, err := json.Marshal(res)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "perfbench:", err)
@@ -111,13 +119,15 @@ type measured struct {
 // that setup_s is a median of many.
 func measure(w workload, work string, d time.Duration) (measured, error) {
 	var m measured
-	for i := 0; i < setupReps; i++ {
+	for i := 0; i < setupWarmup+setupReps; i++ {
 		it, setup, err := timedSetup(w, work)
 		if err != nil {
 			return m, err
 		}
 		it.close()
-		m.setups = append(m.setups, setup)
+		if i >= setupWarmup {
+			m.setups = append(m.setups, setup)
+		}
 	}
 	start := time.Now()
 	for len(m.iters) == 0 || time.Since(start) < d {

@@ -49,11 +49,18 @@ func TestServeMixReferenceDigest(t *testing.T) {
 		t.Skip("simulates the whole request pool")
 	}
 	w := newServeMix(7, reference["serve_mix"])
-	if r := runOnce(t, w); r.failed != 0 {
+	r := runOnce(t, w)
+	if r.failed != 0 {
 		t.Fatalf("pinned reference: %d of %d failed (digest %s)", r.failed, r.attempted, r.digest)
 	}
+	// Every pool cell is simulated once; every other request is a cache
+	// hit or a join.
+	if r.hits == 0 || r.misses != int64(len(w.pool)) || r.hits+r.misses+r.joins != int64(r.attempted) {
+		t.Fatalf("cache: %d hits, %d misses, %d joins for %d requests over a pool of %d",
+			r.hits, r.misses, r.joins, r.attempted, len(w.pool))
+	}
 	w.ref = strings.Repeat("f", 64)
-	r := runOnce(t, w)
+	r = runOnce(t, w)
 	if r.failed != r.attempted || r.attempted != mixRequests {
 		t.Fatalf("corrupted reference: %d of %d failed, want all %d", r.failed, r.attempted, mixRequests)
 	}

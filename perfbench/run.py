@@ -15,7 +15,28 @@ import subprocess
 import sys
 
 BUILD_TIMEOUT_S = 850
-RUN_TIMEOUT_S = 175
+# A run measures for --seconds and then does a bounded amount of further
+# work: the iteration in progress, and with --trace 1 the traced
+# iterations, probes and replicas (under a minute on the largest sweep).
+RUN_MARGIN_S = 145
+DEFAULT_SECONDS = 20  # main.go's default for -seconds
+
+
+def run_timeout(args):
+    """Return the time the run may take, from its --seconds argument."""
+    seconds = DEFAULT_SECONDS
+    for i, arg in enumerate(args):
+        value = None
+        if arg.lstrip("-") == "seconds" and i + 1 < len(args):
+            value = args[i + 1]
+        elif arg.lstrip("-").startswith("seconds="):
+            value = arg.split("=", 1)[1]
+        if value is not None:
+            try:
+                seconds = max(int(value), 1)
+            except ValueError:
+                pass  # the benchmark itself rejects it
+    return seconds + RUN_MARGIN_S
 
 
 def main():
@@ -48,13 +69,14 @@ def main():
     if built.returncode != 0:
         print("perfbench: build failed", file=sys.stderr)
         return 2
+    timeout = run_timeout(sys.argv[1:])
     proc = subprocess.Popen([binary] + sys.argv[1:], cwd=root, env=env)
     try:
-        return proc.wait(timeout=RUN_TIMEOUT_S)
+        return proc.wait(timeout=timeout)
     except subprocess.TimeoutExpired:
         proc.kill()
         proc.wait()
-        print(f"perfbench: run exceeded {RUN_TIMEOUT_S}s", file=sys.stderr)
+        print(f"perfbench: run exceeded {timeout}s", file=sys.stderr)
         return 3
     except KeyboardInterrupt:
         proc.kill()

@@ -310,7 +310,9 @@ const (
 	// introProb is the chance that the next request introduces a new pool
 	// cell rather than repeating one; dupProb the chance that an
 	// introduction is immediately requested again, which the other client
-	// usually picks up while the first is still simulating.
+	// usually picks up while the first is still simulating. Both are
+	// synthetic choices, not fitted to any recorded traffic; README.md
+	// gives the reason for each and how much they move the metrics.
 	introProb = 0.2
 	dupProb   = 0.25
 )
@@ -505,8 +507,11 @@ func (it *mixIter) run(tr *tracer) iterResult {
 	for _, q := range queueWait {
 		res.queueWaitMS += q / float64(len(queueWait))
 	}
-	res.hits = it.reg.Counter("serve.cache.hits").Value()
-	res.misses = it.reg.Counter("serve.cache.misses").Value()
+	// Counted per cell, as on the sweeps: a hit is a cell answered from
+	// the cache, at admission or by the worker's re-probe; a miss is a
+	// cell a worker simulated. Joins are counted apart.
+	res.hits = it.reg.Counter("serve.cells.fast_path").Value() + it.reg.Counter("serve.cells.cached").Value()
+	res.misses = it.reg.Counter("serve.cells.executed").Value()
 	res.joins = it.reg.Counter("serve.cells.joined").Value()
 	res.shed = it.reg.Counter("serve.queue.rejected").Value()
 	for _, req := range it.m.pool {
