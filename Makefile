@@ -15,8 +15,10 @@ test:
 
 # The parallel runner, the simulated clock and the shared observability
 # recorders are the only concurrent code; run them under the race detector.
+# -race also turns on checkptr, which validates the nums kernels' unsafe
+# float64 views against real collective buffers in coll and core.
 race:
-	$(GO) test -race ./internal/bench ./internal/simtime ./internal/obs ./internal/trace
+	$(GO) test -race ./internal/bench ./internal/simtime ./internal/obs ./internal/trace ./internal/nums ./internal/coll ./internal/core
 
 # Fault-injection and watchdog paths under the race detector: the fault
 # plan is shared read-only across ranks and the watchdog fires from the

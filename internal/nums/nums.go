@@ -3,12 +3,21 @@
 // reduction operators (sum, product, min, max) MPI_Allreduce applies.
 // Keeping payloads as []byte everywhere lets the transport layers stay
 // type-agnostic while reductions remain numerically real and testable.
+//
+// The reduction operators and Fill are the simulator's data kernels. On a
+// little-endian host, an 8-byte-aligned buffer already holds its float64
+// elements in memory order, so they run a plain typed loop over a []float64
+// alias of the bytes. Any other buffer (an unaligned sub-slice, or any
+// buffer on a big-endian host) takes the portable encoding/binary loop. Both
+// paths apply the same float64 operation to the same operands in the same
+// order, so results are bit-identical whichever one runs.
 package nums
 
 import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"unsafe"
 )
 
 // F64Size is the byte width of one float64 element.
@@ -54,28 +63,94 @@ type Op struct {
 	Combine func(acc, src []byte)
 }
 
-func foldOp(name string, f func(a, b float64) float64) Op {
+// littleEndian reports whether the host stores an integer's low byte first,
+// the byte order the []byte encoding uses.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// view aliases b as the float64 vector it encodes, without copying. It
+// succeeds only when that alias reads the same values as F64At: the host is
+// little-endian and &b[0] is 8-byte aligned, so every element is a naturally
+// aligned float64. Trailing bytes past the last whole element are left out.
+func view(b []byte) ([]float64, bool) {
+	if !littleEndian || len(b) < F64Size {
+		return nil, false
+	}
+	p := unsafe.Pointer(&b[0])
+	if uintptr(p)%F64Size != 0 {
+		return nil, false
+	}
+	return unsafe.Slice((*float64)(p), len(b)/F64Size), true
+}
+
+// foldOp builds an operator from its element function f, which the portable
+// loop calls, and typed, the same fold over aligned float64 views.
+func foldOp(name string, f func(a, b float64) float64, typed func(acc, src []float64)) Op {
 	return Op{
 		Name: name,
 		Combine: func(acc, src []byte) {
 			if len(acc) != len(src) || len(acc)%F64Size != 0 {
 				panic(fmt.Sprintf("nums: %s on mismatched buffers %dB/%dB", name, len(acc), len(src)))
 			}
-			for i := 0; i < len(acc); i += F64Size {
-				a := math.Float64frombits(binary.LittleEndian.Uint64(acc[i:]))
-				b := math.Float64frombits(binary.LittleEndian.Uint64(src[i:]))
-				binary.LittleEndian.PutUint64(acc[i:], math.Float64bits(f(a, b)))
+			if a, ok := view(acc); ok {
+				if s, ok := view(src); ok {
+					typed(a, s)
+					return
+				}
 			}
+			combinePortable(acc, src, f)
 		},
+	}
+}
+
+// combinePortable folds src into acc with f, decoding and encoding each
+// element: correct for any alignment and host byte order.
+func combinePortable(acc, src []byte, f func(a, b float64) float64) {
+	for i := 0; i < len(acc); i += F64Size {
+		a := math.Float64frombits(binary.LittleEndian.Uint64(acc[i:]))
+		b := math.Float64frombits(binary.LittleEndian.Uint64(src[i:]))
+		binary.LittleEndian.PutUint64(acc[i:], math.Float64bits(f(a, b)))
+	}
+}
+
+func add(a, b float64) float64 { return a + b }
+func mul(a, b float64) float64 { return a * b }
+
+// The typed kernels: each applies its operator's element function to
+// (acc[i], src[i]), in that order, as combinePortable does.
+func sumF64(acc, src []float64) {
+	src = src[:len(acc)]
+	for i := range acc {
+		acc[i] += src[i]
+	}
+}
+
+func prodF64(acc, src []float64) {
+	src = src[:len(acc)]
+	for i := range acc {
+		acc[i] *= src[i]
+	}
+}
+
+func minF64(acc, src []float64) {
+	src = src[:len(acc)]
+	for i := range acc {
+		acc[i] = math.Min(acc[i], src[i])
+	}
+}
+
+func maxF64(acc, src []float64) {
+	src = src[:len(acc)]
+	for i := range acc {
+		acc[i] = math.Max(acc[i], src[i])
 	}
 }
 
 // The standard MPI reduction operators over float64.
 var (
-	Sum  = foldOp("sum", func(a, b float64) float64 { return a + b })
-	Prod = foldOp("prod", func(a, b float64) float64 { return a * b })
-	Min  = foldOp("min", math.Min)
-	Max  = foldOp("max", math.Max)
+	Sum  = foldOp("sum", add, sumF64)
+	Prod = foldOp("prod", mul, prodF64)
+	Min  = foldOp("min", math.Min, minF64)
+	Max  = foldOp("max", math.Max, maxF64)
 )
 
 // Fill writes a deterministic, rank-and-index-dependent float64 pattern into
@@ -85,16 +160,32 @@ func Fill(buf []byte, seed int) {
 	if len(buf)%F64Size != 0 {
 		panic(fmt.Sprintf("nums: Fill on %dB buffer", len(buf)))
 	}
-	for i := 0; i < len(buf)/F64Size; i++ {
-		SetF64At(buf, i, PatternValue(seed, i))
+	v, ok := view(buf)
+	if !ok {
+		for i := 0; i < len(buf)/F64Size; i++ {
+			SetF64At(buf, i, PatternValue(seed, i))
+		}
+		return
+	}
+	base, j := patternBase(seed), 0
+	for i := range v {
+		v[i] = base + float64(j)
+		if j++; j == patternPeriod {
+			j = 0
+		}
 	}
 }
+
+// patternPeriod is the index period of the fill pattern.
+const patternPeriod = 97
+
+func patternBase(seed int) float64 { return float64((seed + 1) * 1000003 % 8191) }
 
 // PatternValue is the deterministic fill value for (seed, index): chosen so
 // that sums of distinct subsets differ and floating-point addition is exact
 // at the scales the tests use (small integers).
 func PatternValue(seed, i int) float64 {
-	return float64((seed+1)*1000003%8191) + float64(i%97)
+	return patternBase(seed) + float64(i%patternPeriod)
 }
 
 // FillBytes writes a deterministic byte pattern (not float64-structured)

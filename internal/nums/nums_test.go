@@ -168,3 +168,55 @@ func TestFillBadLengthPanics(t *testing.T) {
 	}()
 	Fill(make([]byte, 12), 0)
 }
+
+// The typed kernels run only on buffers view accepts. Buffers from make and
+// their element-aligned sub-slices must be accepted, or every reduction in
+// the simulator silently drops to the portable loop.
+func TestViewGuard(t *testing.T) {
+	if !littleEndian {
+		if _, ok := view(make([]byte, 64)); ok {
+			t.Fatal("view accepted a buffer on a big-endian host")
+		}
+		return
+	}
+	for _, n := range []int{8, 16, 24, 64, 776, 4096, 1 << 20} {
+		b := make([]byte, n)
+		for off := 0; off+F64Size <= n; off += F64Size {
+			sub := b[off:]
+			v, ok := view(sub)
+			if !ok || len(v) != len(sub)/F64Size {
+				t.Fatalf("make([]byte, %d)[%d:]: view = %d elements, %v", n, off, len(v), ok)
+			}
+			v[0] = -1.25
+			if F64At(sub, 0) != -1.25 {
+				t.Fatalf("make([]byte, %d)[%d:]: view does not alias the encoding", n, off)
+			}
+		}
+		if n > F64Size {
+			if _, ok := view(b[1:]); ok {
+				t.Fatalf("make([]byte, %d)[1:]: view accepted an unaligned buffer", n)
+			}
+		}
+	}
+	if _, ok := view(make([]byte, 0, 64)); ok {
+		t.Fatal("view accepted an empty buffer")
+	}
+}
+
+// Fill must write PatternValue bit for bit on both paths, across several
+// wraps of the index period.
+func TestFillMatchesPatternValue(t *testing.T) {
+	const n = 3*patternPeriod + 5
+	back := make([]byte, (n+1)*F64Size)
+	for off := 0; off < F64Size; off++ {
+		buf := back[off : off+n*F64Size]
+		for _, seed := range []int{0, 1, 7, 8190, 1 << 20} {
+			Fill(buf, seed)
+			for i := 0; i < n; i++ {
+				if got, want := F64At(buf, i), PatternValue(seed, i); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("offset %d seed %d element %d: Fill wrote %v, PatternValue is %v", off, seed, i, got, want)
+				}
+			}
+		}
+	}
+}

@@ -338,25 +338,8 @@ func (nd *Node) SizeSync(p *simtime.Proc) {
 	}
 }
 
-// ReduceFloat64 combines src into acc element-wise with op, charging the
-// streaming reduction cost (the paper's γ per byte over both inputs' bytes).
-func (nd *Node) ReduceFloat64(p *simtime.Proc, acc, src []float64, op func(a, b float64) float64) {
-	if len(acc) != len(src) {
-		panic(fmt.Sprintf("shm: reduce length mismatch %d != %d", len(acc), len(src)))
-	}
-	for i, v := range src {
-		acc[i] = op(acc[i], v)
-	}
-	t0 := nd.segStart(p)
-	nd.chargeStreaming(p, simtime.TransferTime(8*len(src), nd.params.ReduceBandwidth), 8*len(src))
-	nd.seg(p, "reduce", t0)
-	nd.stats.Reduces++
-	nd.stats.RedBytes += int64(8 * len(src))
-}
-
 // Combine folds src into acc with a nums reduction operator, charging the
-// streaming reduction cost over the combined byte count. This is the
-// byte-buffer twin of ReduceFloat64 used by the MPI collectives.
+// streaming reduction cost over the combined byte count.
 func (nd *Node) Combine(p *simtime.Proc, acc, src []byte, op nums.Op) {
 	op.Combine(acc, src)
 	t0 := nd.segStart(p)

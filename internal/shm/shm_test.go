@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/nums"
 	"repro/internal/simtime"
 )
 
@@ -168,13 +169,14 @@ func TestSizeSyncCounts(t *testing.T) {
 	}
 }
 
-func TestReduceFloat64(t *testing.T) {
+func TestCombine(t *testing.T) {
 	nd := MustNewNode(DefaultParams())
 	e := simtime.NewEngine()
-	acc := []float64{1, 2, 3}
-	src := []float64{10, 20, 30}
+	acc, src := make([]byte, 24), make([]byte, 24)
+	nums.PutF64(acc, []float64{1, 2, 3})
+	nums.PutF64(src, []float64{10, 20, 30})
 	e.Spawn("p", func(p *simtime.Proc) {
-		nd.ReduceFloat64(p, acc, src, func(a, b float64) float64 { return a + b })
+		nd.Combine(p, acc, src, nums.Sum)
 		want := simtime.TransferTime(24, nd.Params().ReduceBandwidth)
 		if p.Now() != simtime.Time(0).Add(want) {
 			t.Errorf("reduce charged %v, want %v", p.Now(), want)
@@ -183,10 +185,11 @@ func TestReduceFloat64(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	for i, want := range []float64{11, 22, 33} {
-		if acc[i] != want {
-			t.Fatalf("acc = %v", acc)
-		}
+	if got := nums.F64(acc); got[0] != 11 || got[1] != 22 || got[2] != 33 {
+		t.Fatalf("acc = %v", got)
+	}
+	if st := nd.Stats(); st.Reduces != 1 || st.RedBytes != 24 {
+		t.Fatalf("stats = %+v", st)
 	}
 }
 
@@ -194,7 +197,7 @@ func TestReduceLengthMismatchPanics(t *testing.T) {
 	nd := MustNewNode(DefaultParams())
 	e := simtime.NewEngine()
 	e.Spawn("p", func(p *simtime.Proc) {
-		nd.ReduceFloat64(p, make([]float64, 2), make([]float64, 3), func(a, b float64) float64 { return a })
+		nd.Combine(p, make([]byte, 16), make([]byte, 24), nums.Sum)
 	})
 	if err := e.Run(); err == nil {
 		t.Fatal("length mismatch not detected")
