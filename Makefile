@@ -28,13 +28,15 @@ chaos-race:
 
 # Hot-path smoke: one pass of the simulator-throughput benchmark, the
 # allocation ceilings (allocs/event on the medium world, per-op send/recv
-# and park pins), and the same guard files under the race detector (the
-# exact ceilings skip there; the correctness assertions still run).
+# and park pins, per-iteration bytes of the baseline collectives), the rank
+# scratch free list (best fit, async-helper isolation), and the same guard
+# files under the race detector (the exact ceilings skip there; the
+# correctness assertions and the scratch poisoning still run).
 bench-smoke:
 	$(GO) test -run xxx -bench BenchmarkSimThroughput -benchtime 1x .
 	$(GO) test ./internal/bench -run 'Throughput' -count=1
-	$(GO) test ./internal/simtime ./internal/mpi -run 'Alloc|UntracedP2P|RendezvousSendBufferReuse|DispatchCounter' -count=1
-	$(GO) test -race ./internal/simtime ./internal/mpi -run 'Alloc|UntracedP2P|RendezvousSendBufferReuse|DispatchCounter' -count=1
+	$(GO) test ./internal/simtime ./internal/mpi ./internal/coll -run 'Alloc|Scratch|UntracedP2P|RendezvousSendBufferReuse|DispatchCounter' -count=1
+	$(GO) test -race ./internal/simtime ./internal/mpi ./internal/coll -run 'Alloc|Scratch|UntracedP2P|RendezvousSendBufferReuse|DispatchCounter' -count=1
 
 # Throughput regression gate: rerun the simulator-throughput suite
 # (best-of-3 per world to shed host noise) and fail if ns/event regresses

@@ -19,7 +19,7 @@ func allgatherBruck(v View, send, recv []byte, tag int) {
 
 	// tmp accumulates blocks in relative order: tmp block i holds the
 	// data of view index (me+i) % size.
-	tmp := make([]byte, len(recv))
+	tmp := v.r.Scratch(len(recv))
 	v.memcpy(tmp[:chunk], send)
 
 	have := 1
@@ -40,6 +40,7 @@ func allgatherBruck(v View, send, recv []byte, tag int) {
 	// (me+i) % size.
 	v.memcpy(recv[v.me*chunk:], tmp[:(size-v.me)*chunk])
 	v.memcpy(recv[:v.me*chunk], tmp[(size-v.me)*chunk:])
+	v.r.Release(tmp)
 }
 
 // AllgatherRecDoubling is the recursive-doubling allgather, the MPI standard

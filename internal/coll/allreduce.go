@@ -55,9 +55,10 @@ func foldRemainder(v View, acc []byte, op nums.Op, tag int) (newRank int, transl
 		v.Send(v.me+1, tag, acc)
 		return -1, translate
 	case v.me < 2*rem:
-		tmp := make([]byte, len(acc))
+		tmp := v.r.Scratch(len(acc))
 		v.Recv(v.me-1, tag, tmp)
 		v.combine(acc, tmp, op)
+		v.r.Release(tmp)
 		return v.me / 2, translate
 	default:
 		return v.me - rem, translate
@@ -91,13 +92,13 @@ func allreduceRecDoubling(v View, send, recv []byte, op nums.Op, tag int) {
 		v.memcpy(recv, send)
 		return
 	}
-	acc := make([]byte, len(send))
+	acc := v.r.Scratch(len(send))
 	v.memcpy(acc, send)
 
 	newRank, translate := foldRemainder(v, acc, op, tag)
 	if newRank >= 0 {
 		pof2 := prevPow2(size)
-		tmp := make([]byte, len(acc))
+		tmp := v.r.Scratch(len(acc))
 		mask := 1
 		step := 1
 		for mask < pof2 {
@@ -107,9 +108,11 @@ func allreduceRecDoubling(v View, send, recv []byte, op nums.Op, tag int) {
 			mask <<= 1
 			step++
 		}
+		v.r.Release(tmp)
 	}
 	unfoldRemainder(v, acc, tag+phaseStride-1)
 	v.memcpy(recv, acc)
+	v.r.Release(acc)
 }
 
 // AllreduceRing is the bandwidth-optimal ring allreduce (ring
@@ -131,9 +134,9 @@ func allreduceRing(v View, send, recv []byte, op nums.Op, tag int) {
 	block := func(b []byte, i int) []byte {
 		return b[disps[i]*nums.F64Size : (disps[i]+cnts[i])*nums.F64Size]
 	}
-	acc := make([]byte, len(send))
+	acc := v.r.Scratch(len(send))
 	v.memcpy(acc, send)
-	tmp := make([]byte, (elems/size+1)*nums.F64Size)
+	tmp := v.r.Scratch((elems/size + 1) * nums.F64Size)
 
 	left := (v.me - 1 + size) % size
 	right := (v.me + 1) % size
@@ -155,6 +158,7 @@ func allreduceRing(v View, send, recv []byte, op nums.Op, tag int) {
 			left, tag+phaseStride+s, block(acc, recvBlock))
 	}
 	v.memcpy(recv, acc)
+	v.r.Release(acc, tmp)
 }
 
 // AllreduceRabenseifner is Rabenseifner's algorithm: recursive-halving
@@ -180,7 +184,7 @@ func allreduceRabenseifner(v View, send, recv []byte, op nums.Op, tag int) {
 		allreduceRecDoubling(v, send, recv, op, tag)
 		return
 	}
-	acc := make([]byte, len(send))
+	acc := v.r.Scratch(len(send))
 	v.memcpy(acc, send)
 
 	newRank, translate := foldRemainder(v, acc, op, tag)
@@ -196,7 +200,7 @@ func allreduceRabenseifner(v View, send, recv []byte, op nums.Op, tag int) {
 	sendIdx, recvIdx, lastIdx := 0, 0, pof2
 
 	if newRank >= 0 {
-		tmp := make([]byte, len(acc))
+		tmp := v.r.Scratch(len(acc))
 		// Recursive halving reduce-scatter.
 		mask := 1
 		step := 1
@@ -253,9 +257,11 @@ func allreduceRabenseifner(v View, send, recv []byte, op nums.Op, tag int) {
 			mask >>= 1
 			step++
 		}
+		v.r.Release(tmp)
 	}
 	unfoldRemainder(v, acc, tag+2*phaseStride-1)
 	v.memcpy(recv, acc)
+	v.r.Release(acc)
 }
 
 // countBlocks returns how many blocks starting at idx cover byteLen bytes.

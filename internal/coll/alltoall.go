@@ -24,7 +24,7 @@ func alltoallBruck(v View, send, recv []byte, tag int) {
 	me := v.me
 
 	// Phase 1: local rotation — tmp block i = send block (me+i) mod size.
-	tmp := make([]byte, len(send))
+	tmp := v.r.Scratch(len(send))
 	v.memcpy(tmp[:(size-me)*chunk], send[me*chunk:])
 	v.memcpy(tmp[(size-me)*chunk:], send[:me*chunk])
 
@@ -35,21 +35,28 @@ func alltoallBruck(v View, send, recv []byte, tag int) {
 		dst := (me + mask) % size
 		src := (me - mask + size) % size
 		// Pack the blocks whose index has this bit set.
-		var idx []int
-		for b := 0; b < size; b++ {
+		blocks := 0
+		for b := mask; b < size; b++ {
 			if b&mask != 0 {
-				idx = append(idx, b)
+				blocks++
 			}
 		}
-		out := make([]byte, len(idx)*chunk)
-		for i, b := range idx {
-			v.memcpy(out[i*chunk:(i+1)*chunk], tmp[b*chunk:(b+1)*chunk])
+		out := v.r.Scratch(blocks * chunk)
+		for b, i := mask, 0; b < size; b++ {
+			if b&mask != 0 {
+				v.memcpy(out[i*chunk:(i+1)*chunk], tmp[b*chunk:(b+1)*chunk])
+				i++
+			}
 		}
-		in := make([]byte, len(out))
+		in := v.r.Scratch(len(out))
 		v.Sendrecv(dst, tag+stage, out, src, tag+stage, in)
-		for i, b := range idx {
-			v.memcpy(tmp[b*chunk:(b+1)*chunk], in[i*chunk:(i+1)*chunk])
+		for b, i := mask, 0; b < size; b++ {
+			if b&mask != 0 {
+				v.memcpy(tmp[b*chunk:(b+1)*chunk], in[i*chunk:(i+1)*chunk])
+				i++
+			}
 		}
+		v.r.Release(out, in)
 		stage++
 	}
 
@@ -59,6 +66,7 @@ func alltoallBruck(v View, send, recv []byte, tag int) {
 		b := (me - j + size) % size
 		v.memcpy(recv[j*chunk:(j+1)*chunk], tmp[b*chunk:(b+1)*chunk])
 	}
+	v.r.Release(tmp)
 }
 
 // AlltoallPairwise performs the total exchange in size-1 rounds: in round

@@ -25,9 +25,10 @@ func bcastScatterAllgather(v View, root int, buf []byte, tag int) {
 		panic(fmt.Sprintf("coll: van de Geijn bcast needs size-divisible buffer (%dB / %d)", len(buf), size))
 	}
 	chunk := len(buf) / size
-	piece := make([]byte, chunk)
+	piece := v.r.Scratch(chunk)
 	scatterTree(v, root, buf, piece, tag)
 	allgatherRing(v, piece, buf, tag+phaseStride)
+	v.r.Release(piece)
 }
 
 // ReduceScatterGather reduces to root via a ring reduce-scatter followed by
@@ -58,9 +59,9 @@ func reduceScatterGather(v View, root int, send, recv []byte, op nums.Op, tag in
 	block := func(b []byte, i int) []byte {
 		return b[disps[i]*nums.F64Size : (disps[i]+cnts[i])*nums.F64Size]
 	}
-	acc := make([]byte, len(send))
+	acc := v.r.Scratch(len(send))
 	v.memcpy(acc, send)
-	tmp := make([]byte, (elems/size+1)*nums.F64Size)
+	tmp := v.r.Scratch((elems/size + 1) * nums.F64Size)
 	left := (v.me - 1 + size) % size
 	right := (v.me + 1) % size
 	for s := 0; s < size-1; s++ {
@@ -85,11 +86,13 @@ func reduceScatterGather(v View, root int, send, recv []byte, op nums.Op, tag in
 			}
 			v.Recv(i, gatherTag+b, block(recv, b))
 		}
+		v.r.Release(acc, tmp)
 		return
 	}
 	if cnts[own] > 0 {
 		v.Send(root, gatherTag+own, block(acc, own))
 	}
+	v.r.Release(acc, tmp)
 }
 
 // ReduceHier is the leader-based reduce used by the hierarchical profiles:
@@ -103,12 +106,16 @@ func ReduceHier(r View, root int, send, recv []byte, op nums.Op, largeThreshold 
 	rootNode := c.Node(root)
 	leaderOfRoot := c.Rank(rootNode, 0)
 
-	partial := make([]byte, len(send))
+	var partial []byte // leaders only: the tree writes it only at its root
+	if isLeader(r) {
+		partial = r.r.Scratch(len(send))
+	}
 	reduceTree(NodeView(r.r), 0, send, partial, op, tag)
 
 	target := recv
-	if r.r.Rank() == leaderOfRoot && root != leaderOfRoot {
-		target = make([]byte, len(send))
+	ownTarget := r.r.Rank() == leaderOfRoot && root != leaderOfRoot
+	if ownTarget {
+		target = r.r.Scratch(len(send))
 	}
 	if isLeader(r) {
 		lv := LeaderView(r.r)
@@ -125,5 +132,9 @@ func ReduceHier(r View, root int, send, recv []byte, op nums.Op, largeThreshold 
 		if r.Me() == root {
 			r.r.Recv(leaderOfRoot, tag+2*phaseStride, recv)
 		}
+	}
+	r.r.Release(partial)
+	if ownTarget {
+		r.r.Release(target)
 	}
 }

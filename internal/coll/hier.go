@@ -46,21 +46,24 @@ func ScatterHier(r View, root int, send, recv []byte) {
 	ppn := c.PPN()
 
 	full := send
+	ownFull := r.r.Rank() == leaderOfRoot && root != leaderOfRoot
 	if root != leaderOfRoot {
 		// Hand the payload to the root's node leader.
 		if r.me == root {
 			r.r.Send(leaderOfRoot, tag, send)
 		}
-		if r.r.Rank() == leaderOfRoot {
-			full = make([]byte, size*chunk)
+		if ownFull {
+			full = r.r.Scratch(size * chunk)
 			r.r.Recv(root, tag, full)
 		}
 	}
 
-	// Internode: leaders scatter per-node slabs (ppn chunks each).
+	// Internode: leaders scatter per-node slabs (ppn chunks each). Only
+	// leaders hold a slab; the intranode tree reads it only at its root.
 	ph := r.r.PhaseStart("leader-scatter")
-	nodeSlab := make([]byte, ppn*chunk)
+	var nodeSlab []byte
 	if isLeader(r) {
+		nodeSlab = r.r.Scratch(ppn * chunk)
 		lv := LeaderView(r.r)
 		scatterTree(lv, rootNode, full, nodeSlab, tag+phaseStride)
 	}
@@ -70,6 +73,10 @@ func ScatterHier(r View, root int, send, recv []byte) {
 	nv := NodeView(r.r)
 	scatterTree(nv, 0, nodeSlab, recv, tag+2*phaseStride)
 	ph.End()
+	r.r.Release(nodeSlab)
+	if ownFull {
+		r.r.Release(full)
+	}
 }
 
 // GatherHier is the mirror: intranode gather to leaders, internode gather
@@ -90,14 +97,18 @@ func GatherHier(r View, root int, send, recv []byte) {
 	ppn := c.PPN()
 
 	ph := r.r.PhaseStart("intra-gather")
-	nodeSlab := make([]byte, ppn*chunk)
+	var nodeSlab []byte // leaders only: the tree writes it only at its root
+	if isLeader(r) {
+		nodeSlab = r.r.Scratch(ppn * chunk)
+	}
 	nv := NodeView(r.r)
 	gatherTree(nv, 0, send, nodeSlab, tag)
 	ph.End()
 
 	full := recv
-	if r.r.Rank() == leaderOfRoot && root != leaderOfRoot {
-		full = make([]byte, size*chunk)
+	ownFull := r.r.Rank() == leaderOfRoot && root != leaderOfRoot
+	if ownFull {
+		full = r.r.Scratch(size * chunk)
 	}
 	ph = r.r.PhaseStart("leader-gather")
 	if isLeader(r) {
@@ -112,6 +123,10 @@ func GatherHier(r View, root int, send, recv []byte) {
 		if r.me == root {
 			r.r.Recv(leaderOfRoot, tag+2*phaseStride, recv)
 		}
+	}
+	r.r.Release(nodeSlab)
+	if ownFull {
+		r.r.Release(full)
 	}
 }
 
@@ -154,7 +169,10 @@ func AllgatherHier(r View, send, recv []byte, ringThreshold int) {
 	ppn := c.PPN()
 
 	ph := r.r.PhaseStart("intra-gather")
-	nodeSlab := make([]byte, ppn*chunk)
+	var nodeSlab []byte // leaders only: the tree writes it only at its root
+	if isLeader(r) {
+		nodeSlab = r.r.Scratch(ppn * chunk)
+	}
 	gatherTree(NodeView(r.r), 0, send, nodeSlab, tag)
 	ph.End()
 	ph = r.r.PhaseStart("leader-allgather")
@@ -172,6 +190,7 @@ func AllgatherHier(r View, send, recv []byte, ringThreshold int) {
 	ph = r.r.PhaseStart("intra-bcast")
 	bcastTree(NodeView(r.r), 0, recv, tag+2*phaseStride)
 	ph.End()
+	r.r.Release(nodeSlab)
 }
 
 // AllreduceHier reduces within each node to the leader, allreduces among
@@ -183,7 +202,10 @@ func AllreduceHier(r View, send, recv []byte, op nums.Op, ringThreshold int) {
 	checkReduceBufs(send, recv)
 
 	ph := r.r.PhaseStart("intra-reduce")
-	partial := make([]byte, len(send))
+	var partial []byte // leaders only: the tree writes it only at its root
+	if isLeader(r) {
+		partial = r.r.Scratch(len(send))
+	}
 	reduceTree(NodeView(r.r), 0, send, partial, op, tag)
 	ph.End()
 	ph = r.r.PhaseStart("leader-allreduce")
@@ -199,4 +221,5 @@ func AllreduceHier(r View, send, recv []byte, op nums.Op, ringThreshold int) {
 	ph = r.r.PhaseStart("intra-bcast")
 	bcastTree(NodeView(r.r), 0, recv, tag+3*phaseStride)
 	ph.End()
+	r.r.Release(partial)
 }

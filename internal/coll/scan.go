@@ -36,9 +36,10 @@ func scanRecDoubling(v View, send, recv []byte, op nums.Op, tag int, exclusive b
 	// partial carries op over a contiguous rank interval ending at me;
 	// result carries op over [0, me] (or [0, me) for exscan, valid once
 	// anything has been folded in).
-	partial := make([]byte, len(send))
+	partial := v.r.Scratch(len(send))
 	v.memcpy(partial, send)
-	result := make([]byte, len(send))
+	result := v.r.Scratch(len(send))
+	tmp := v.r.Scratch(len(send))
 	haveResult := !exclusive
 	if haveResult {
 		v.memcpy(result, send)
@@ -48,7 +49,6 @@ func scanRecDoubling(v View, send, recv []byte, op nums.Op, tag int, exclusive b
 	for mask := 1; mask < size; mask <<= 1 {
 		lower := v.me - mask
 		upper := v.me + mask
-		tmp := make([]byte, len(send))
 		switch {
 		case lower >= 0 && upper < size:
 			v.Sendrecv(upper, tag+step, partial, lower, tag+step, tmp)
@@ -72,6 +72,7 @@ func scanRecDoubling(v View, send, recv []byte, op nums.Op, tag int, exclusive b
 	if haveResult {
 		v.memcpy(recv, result)
 	}
+	v.r.Release(partial, result, tmp)
 }
 
 // ReduceScatterBlock reduces equal blocks across the view and leaves view
@@ -94,9 +95,9 @@ func ReduceScatterBlock(v View, send, recv []byte, op nums.Op) {
 	}
 	blockBytes := len(send) / size
 	block := func(b []byte, i int) []byte { return b[i*blockBytes : (i+1)*blockBytes] }
-	acc := make([]byte, len(send))
+	acc := v.r.Scratch(len(send))
 	v.memcpy(acc, send)
-	tmp := make([]byte, blockBytes)
+	tmp := v.r.Scratch(blockBytes)
 	left := (v.me - 1 + size) % size
 	right := (v.me + 1) % size
 	// After size-1 steps, rank me holds the complete block (me+1) mod
@@ -109,4 +110,5 @@ func ReduceScatterBlock(v View, send, recv []byte, op nums.Op) {
 	}
 	own := (v.me + 1) % size
 	v.Sendrecv(right, tag+size, block(acc, own), left, tag+size, recv)
+	v.r.Release(acc, tmp)
 }

@@ -61,7 +61,9 @@ func scatterTree(v View, root int, send, recv []byte, tag int) {
 	}
 	rel := (v.me - root + size) % size
 
-	// tmp holds this process's subtree data in relative-rank order.
+	// tmp holds this process's subtree data in relative-rank order; it is
+	// a scratch buffer everywhere except at root 0, which reads send in
+	// place.
 	var tmp []byte
 	cur := 0
 	if v.me == root {
@@ -69,7 +71,7 @@ func scatterTree(v View, root int, send, recv []byte, tag int) {
 			tmp = send // read-only below; sends snapshot as needed
 		} else {
 			// Rotate so relative rank 0's chunk comes first.
-			tmp = make([]byte, len(send))
+			tmp = v.r.Scratch(len(send))
 			v.memcpy(tmp[:len(send)-root*chunk], send[root*chunk:])
 			v.memcpy(tmp[len(send)-root*chunk:], send[:root*chunk])
 		}
@@ -83,7 +85,7 @@ func scatterTree(v View, root int, send, recv []byte, tag int) {
 				if size-rel < want {
 					want = size - rel
 				}
-				tmp = make([]byte, want*chunk)
+				tmp = v.r.Scratch(want * chunk)
 				cur = v.Recv(src, tag+maskLog2(mask), tmp)
 				break
 			}
@@ -102,6 +104,9 @@ func scatterTree(v View, root int, send, recv []byte, tag int) {
 		mask >>= 1
 	}
 	v.memcpy(recv, tmp[:chunk])
+	if v.me != root || root != 0 {
+		v.r.Release(tmp)
+	}
 }
 
 // Gather collects each view index i's send chunk into recv (root only) at
@@ -127,7 +132,7 @@ func gatherTree(v View, root int, send, recv []byte, tag int) {
 	if size-rel < subtree {
 		subtree = size - rel
 	}
-	tmp := make([]byte, subtree*chunk)
+	tmp := v.r.Scratch(subtree * chunk)
 	v.memcpy(tmp[:chunk], send)
 	cur := chunk
 
@@ -142,6 +147,7 @@ func gatherTree(v View, root int, send, recv []byte, tag int) {
 		} else {
 			dst := (v.me - mask + size) % size
 			v.Send(dst, tag+maskLog2(mask), tmp[:cur])
+			v.r.Release(tmp)
 			return
 		}
 		mask <<= 1
@@ -149,10 +155,11 @@ func gatherTree(v View, root int, send, recv []byte, tag int) {
 	// Root: tmp holds data in relative order; rotate into absolute order.
 	if root == 0 {
 		v.memcpy(recv, tmp)
-		return
+	} else {
+		v.memcpy(recv[root*chunk:], tmp[:(size-root)*chunk])
+		v.memcpy(recv[:root*chunk], tmp[(size-root)*chunk:])
 	}
-	v.memcpy(recv[root*chunk:], tmp[:(size-root)*chunk])
-	v.memcpy(recv[:root*chunk], tmp[(size-root)*chunk:])
+	v.r.Release(tmp)
 }
 
 // Reduce combines every view index's send vector with op into recv at root
@@ -172,9 +179,9 @@ func reduceTree(v View, root int, send, recv []byte, op nums.Op, tag int) {
 		return
 	}
 	rel := (v.me - root + size) % size
-	acc := make([]byte, len(send))
+	acc := v.r.Scratch(len(send))
 	v.memcpy(acc, send)
-	in := make([]byte, len(send))
+	in := v.r.Scratch(len(send))
 
 	mask := 1
 	for mask < size {
@@ -187,11 +194,13 @@ func reduceTree(v View, root int, send, recv []byte, op nums.Op, tag int) {
 		} else {
 			dst := (v.me - mask + size) % size
 			v.Send(dst, tag+maskLog2(mask), acc)
+			v.r.Release(acc, in)
 			return
 		}
 		mask <<= 1
 	}
 	v.memcpy(recv, acc)
+	v.r.Release(acc, in)
 }
 
 // checkRoot validates a root index against a view size.

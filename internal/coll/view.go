@@ -37,7 +37,7 @@ const phaseStride = 1 << 20
 // CommView.
 type View struct {
 	r      *mpi.Rank
-	ranks  []int // world ranks in view order; nil means the whole world
+	ranks  []int // world ranks in view order (read-only); nil means the whole world
 	me     int   // caller's index within the view
 	window func() int
 }
@@ -60,6 +60,8 @@ func World(r *mpi.Rank) View {
 }
 
 // NodeView returns the view over the caller's node, ordered by local rank.
+// It and LeaderView share the cluster's precomputed rank tables, which
+// views only read.
 func NodeView(r *mpi.Rank) View {
 	return View{r: r, ranks: r.Cluster().NodeRanks(r.Node()), me: r.Local()}
 }
@@ -67,12 +69,7 @@ func NodeView(r *mpi.Rank) View {
 // LeaderView returns the view over each node's local rank 0, ordered by
 // node id. The caller must itself be a leader to communicate through it.
 func LeaderView(r *mpi.Rank) View {
-	c := r.Cluster()
-	leaders := make([]int, c.Nodes())
-	for n := range leaders {
-		leaders[n] = c.Rank(n, 0)
-	}
-	return View{r: r, ranks: leaders, me: r.Node()}
+	return View{r: r, ranks: r.Cluster().Leaders(), me: r.Node()}
 }
 
 // Size returns the number of ranks in the view.

@@ -60,9 +60,11 @@ func (r *Rank) Async(body func(ar *Rank)) *AsyncOp {
 	helper.epochLimit = helper.epoch + asyncEpochSpan
 	// The copied matchFn closes over the parent's match fields; rebuild it
 	// so the helper's receives cannot clobber a parked parent receive. The
-	// request freelist likewise must not be shared with the parent.
+	// request and scratch free lists likewise must not be shared with the
+	// parent: the copied slices would alias one backing array.
 	helper.initMatch()
 	helper.reqFree = nil
+	helper.scratch = nil
 	r.proc.Spawn(fmt.Sprintf("rank%d/async%d", r.rank, r.asyncSeq), func(p *simtime.Proc) {
 		helper.proc = p
 		defer func() {

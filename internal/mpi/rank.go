@@ -44,6 +44,9 @@ type Rank struct {
 	matchFn  func(any) bool
 	// reqFree recycles completed Requests (see getReq/putReq).
 	reqFree []*Request
+	// scratch is the rank's free list of temporary buffers (see Scratch);
+	// only the rank's own process touches it, so it needs no lock.
+	scratch [][]byte
 }
 
 // getReq returns a zeroed request, reusing one recycled by Wait when
@@ -148,7 +151,8 @@ func (r *Rank) HarnessBarrier() {
 // delivery plus, for internode rendezvous, the sender's request — and the
 // envelope returns to the freelist when the count reaches zero. own is the
 // envelope's scratch buffer for snapshot/bounce payloads; it stays attached
-// across recycles so steady-state sends stop allocating payload copies.
+// across recycles (or is traded to another envelope, see envScratch) so
+// steady-state sends stop allocating payload copies.
 type envelope struct {
 	src, dst int
 	tag      int
@@ -163,11 +167,29 @@ type envelope struct {
 	msg      int           // recorder message id for internode sends, else -1
 }
 
-// scratch returns the envelope's own buffer resized to n bytes, reusing
-// pooled capacity when possible.
-func (env *envelope) scratch(n int) []byte {
+// envSwapScan bounds how many pooled envelopes envScratch inspects for a
+// buffer to trade: the most recently freed ones, which are the likeliest to
+// have carried a message of the same size.
+const envSwapScan = 8
+
+// envScratch returns env's own buffer resized to n bytes. When env's buffer
+// is too small it first trades buffers with a recently freed envelope that
+// has the capacity — a free envelope's buffer is referenced by nothing — so
+// large buffers follow the large messages instead of sitting on envelopes
+// that carry small ones, and the pool stops allocating once it has one
+// buffer per concurrent large message.
+func (w *World) envScratch(env *envelope, n int) []byte {
 	if cap(env.own) < n {
-		env.own = make([]byte, n)
+		free := w.envFree
+		for i := len(free) - 1; i >= 0 && i >= len(free)-envSwapScan; i-- {
+			if cap(free[i].own) >= n {
+				env.own, free[i].own = free[i].own, env.own
+				break
+			}
+		}
+		if cap(env.own) < n {
+			env.own = make([]byte, n)
+		}
 	}
 	env.own = env.own[:n]
 	return env.own
@@ -268,7 +290,7 @@ func (r *Rank) isendInternode(dst, tag int, data []byte) *Request {
 		env.data = data
 		env.refs = 2 // in-flight delivery + the sender's request handle
 	} else {
-		snap := env.scratch(len(data))
+		snap := r.world.envScratch(env, len(data))
 		copy(snap, data)
 		env.data = snap
 		env.refs = 1
@@ -291,7 +313,8 @@ func (r *Rank) isendInternode(dst, tag int, data []byte) *Request {
 			SrcProc: r.proc.ID(), DstProc: dst, Bytes: len(data), Tag: tag,
 			Issue: str.Issue, Ready: str.RxQueueDone, Stages: str.Stages(),
 		})
-		q.str = &str
+		traced := str // a copy, so untraced sends keep str off the heap
+		q.str = &traced
 	}
 	return q
 }
@@ -314,7 +337,7 @@ func (r *Rank) isendIntranode(dst, tag int, data []byte) *Request {
 	env.srcLocal, env.msg, env.refs = r.local, -1, 1
 	if len(data) <= cfg.IntranodeEager {
 		// Eager: copy into the pooled bounce buffer now; receiver copies out.
-		bounce := env.scratch(len(data))
+		bounce := r.world.envScratch(env, len(data))
 		shmNode.Memcpy(r.proc, bounce, data)
 		env.data = bounce
 		r.world.fab.Inbox(fabric.Endpoint{Node: r.node, Queue: dstLocal}).Put(r.proc, env)
@@ -369,7 +392,7 @@ func (r *Rank) Wait(q *Request) int {
 			// already out and no copy is ever made.
 			q.env = nil
 			if !env.consumed {
-				snap := env.scratch(env.n)
+				snap := r.world.envScratch(env, env.n)
 				copy(snap, env.data)
 				env.data = snap
 			}

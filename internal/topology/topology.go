@@ -38,6 +38,11 @@ type Cluster struct {
 	nodes  int
 	ppn    int
 	layout Layout
+	// nodeRanks[n] lists node n's global ranks in local-rank order and
+	// leaders lists each node's local rank 0 in node order; both are built
+	// once by New and shared read-only (see NodeRanks and Leaders).
+	nodeRanks [][]int
+	leaders   []int
 }
 
 // New returns a cluster of nodes × ppn ranks with the given layout.
@@ -47,7 +52,19 @@ func New(nodes, ppn int, layout Layout) *Cluster {
 	if nodes < 1 || ppn < 1 {
 		panic(fmt.Sprintf("topology: invalid cluster %d nodes x %d ppn", nodes, ppn))
 	}
-	return &Cluster{nodes: nodes, ppn: ppn, layout: layout}
+	c := &Cluster{nodes: nodes, ppn: ppn, layout: layout}
+	flat := make([]int, nodes*ppn)
+	c.nodeRanks = make([][]int, nodes)
+	c.leaders = make([]int, nodes)
+	for n := range c.nodeRanks {
+		ranks := flat[n*ppn : (n+1)*ppn : (n+1)*ppn]
+		for l := range ranks {
+			ranks[l] = c.Rank(n, l)
+		}
+		c.nodeRanks[n] = ranks
+		c.leaders[n] = ranks[0]
+	}
+	return c
 }
 
 // Nodes returns the number of nodes.
@@ -100,13 +117,18 @@ func (c *Cluster) Local(rank int) int { _, l := c.Place(rank); return l }
 func (c *Cluster) SameNode(a, b int) bool { return c.Node(a) == c.Node(b) }
 
 // NodeRanks returns the global ranks living on a node, in local-rank order.
+// The slice is the cluster's own table, shared by every caller: it must not
+// be modified.
 func (c *Cluster) NodeRanks(node int) []int {
-	ranks := make([]int, c.ppn)
-	for l := 0; l < c.ppn; l++ {
-		ranks[l] = c.Rank(node, l)
+	if node < 0 || node >= c.nodes {
+		panic(fmt.Sprintf("topology: node %d outside %dx%d cluster", node, c.nodes, c.ppn))
 	}
-	return ranks
+	return c.nodeRanks[node]
 }
+
+// Leaders returns each node's local rank 0, in node order. Like NodeRanks it
+// returns the cluster's shared table, which must not be modified.
+func (c *Cluster) Leaders() []int { return c.leaders }
 
 // String describes the cluster shape.
 func (c *Cluster) String() string {

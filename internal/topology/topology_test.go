@@ -83,6 +83,50 @@ func TestNodeRanks(t *testing.T) {
 	}
 }
 
+func TestLeaders(t *testing.T) {
+	for _, tc := range []struct {
+		layout Layout
+		want   []int
+	}{
+		{Block, []int{0, 4, 8}},
+		{RoundRobin, []int{0, 1, 2}},
+	} {
+		c := New(3, 4, tc.layout)
+		got := c.Leaders()
+		if len(got) != len(tc.want) {
+			t.Fatalf("%v Leaders() = %v, want %v", tc.layout, got, tc.want)
+		}
+		for n := range tc.want {
+			if got[n] != tc.want[n] || got[n] != c.NodeRanks(n)[0] {
+				t.Fatalf("%v Leaders() = %v, want %v", tc.layout, got, tc.want)
+			}
+		}
+	}
+}
+
+// TestRankTablesShared pins the read-only table contract: NodeRanks and
+// Leaders hand out the cluster's precomputed slices without allocating,
+// and one node's slice cannot be appended into its neighbour's.
+func TestRankTablesShared(t *testing.T) {
+	c := New(4, 3, Block)
+	if n := testing.AllocsPerRun(10, func() { _ = c.NodeRanks(2); _ = c.Leaders() }); n != 0 {
+		t.Fatalf("NodeRanks/Leaders allocate %v objects per call, want 0", n)
+	}
+	if ranks := c.NodeRanks(1); cap(ranks) != len(ranks) {
+		t.Fatalf("NodeRanks(1) has spare capacity %d over len %d", cap(ranks), len(ranks))
+	}
+	for _, node := range []int{-1, 4} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NodeRanks(%d) did not panic", node)
+				}
+			}()
+			c.NodeRanks(node)
+		}()
+	}
+}
+
 func TestSameNode(t *testing.T) {
 	c := New(2, 2, Block)
 	if !c.SameNode(0, 1) || c.SameNode(1, 2) {
